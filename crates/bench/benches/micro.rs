@@ -97,13 +97,11 @@ pub fn bench_engine(results: &mut Vec<(String, f64)>) {
     }
 
     println!("-- dispatch: {DISPATCH_EVENTS} raw token deliveries --");
-    for (name, nodes, burst) in [
-        ("dispatch/self_send_burst (direct drain)", 1, true),
-        ("dispatch/self_send_noburst", 1, false),
-        ("dispatch/ring8_burst (singleton probes)", 8, true),
-        ("dispatch/ring8_noburst", 8, false),
+    for (name, nodes) in [
+        ("dispatch/self_send (direct drain)", 1),
+        ("dispatch/ring8 (wheel buckets)", 8),
     ] {
-        let eps = dispatch_best_of(2, nodes, burst);
+        let eps = dispatch_best_of(2, nodes);
         println!("{name:<44} {:>10.2} M events/s", eps / 1e6);
         results.push((name.to_string(), eps));
     }

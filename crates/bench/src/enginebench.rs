@@ -103,10 +103,8 @@ pub fn pipeline_events_per_sec(kind: QueueKind, typed: bool) -> f64 {
     let t0 = Instant::now();
     while sim.events_processed() < PIPE_EVENTS && sim.step() {}
     let secs = t0.elapsed().as_secs_f64();
-    // burst delivery may overshoot the target by a few events (one step
-    // drains a whole burst); the rate uses the exact count either way
-    assert!(sim.events_processed() >= PIPE_EVENTS);
-    sim.events_processed() as f64 / secs
+    assert_eq!(sim.events_processed(), PIPE_EVENTS);
+    PIPE_EVENTS as f64 / secs
 }
 
 /// Best-of-n measurement (benchmarks want the least-disturbed run).
@@ -121,11 +119,9 @@ pub fn best_of(n: u32, kind: QueueKind, typed: bool) -> f64 {
 // Raw delivery overhead, stripped of all protocol work: nodes that do
 // nothing but forward a token. `nodes = 1` is a zero-delay self-send chain
 // — every send lands in the wheel slot currently being drained, so the
-// whole run lives on the same-slot direct-drain lane and (with bursting)
-// in long per-node bursts. `nodes = 8` hands the token round-robin with a
-// small hop, the worst case for coalescing: every delivery is a singleton
-// and the burst probe always fails. The gap between the two bounds what
-// burst-mode delivery can and cannot save.
+// whole run lives on the same-slot direct-drain lane. `nodes = 8` hands
+// the token round-robin with a small hop, so every event goes through a
+// wheel bucket. The gap between the two is what the hot deque saves.
 
 /// Events per dispatch-micro measurement.
 pub const DISPATCH_EVENTS: u64 = 2_000_000;
@@ -145,10 +141,9 @@ impl Node for Forwarder {
 }
 
 /// Events/sec of wall time for the dispatch micro.
-pub fn dispatch_events_per_sec(nodes: usize, burst: bool) -> f64 {
+pub fn dispatch_events_per_sec(nodes: usize) -> f64 {
     assert!(nodes >= 1);
     let mut sim = Sim::with_queue(7, QueueKind::Wheel);
-    sim.set_burst(burst);
     let ids: Vec<NodeId> = (0..nodes).map(|_| sim.reserve_node()).collect();
     let hop = if nodes == 1 {
         Duration::ZERO
@@ -168,14 +163,14 @@ pub fn dispatch_events_per_sec(nodes: usize, burst: bool) -> f64 {
     let t0 = Instant::now();
     while sim.events_processed() < DISPATCH_EVENTS && sim.step() {}
     let secs = t0.elapsed().as_secs_f64();
-    assert!(sim.events_processed() >= DISPATCH_EVENTS);
-    sim.events_processed() as f64 / secs
+    assert_eq!(sim.events_processed(), DISPATCH_EVENTS);
+    DISPATCH_EVENTS as f64 / secs
 }
 
 /// Best-of-n for the dispatch micro.
-pub fn dispatch_best_of(n: u32, nodes: usize, burst: bool) -> f64 {
+pub fn dispatch_best_of(n: u32, nodes: usize) -> f64 {
     (0..n)
-        .map(|_| dispatch_events_per_sec(nodes, burst))
+        .map(|_| dispatch_events_per_sec(nodes))
         .fold(0.0f64, f64::max)
 }
 

@@ -1,7 +1,7 @@
 //! FlexTOE reproduction experiment harness: one subcommand per table and
-//! figure of the paper's evaluation (see DESIGN.md §3 for the index),
-//! plus the congested-fabric (`cc`) and connection-scalability (`scale`)
-//! scenarios and the `bench-pipeline` perf snapshot.
+//! figure of the paper's evaluation, plus the congested-fabric (`cc`) and
+//! connection-scalability (`scale`) scenarios and the `bench-pipeline`
+//! perf snapshot.
 //!
 //! ```text
 //! cargo run -p flextoe-bench --release -- all

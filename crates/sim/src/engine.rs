@@ -48,9 +48,10 @@
 //! The default event queue is a bucketed event wheel (calendar queue,
 //! [`crate::wheel`]) with a binary-heap overflow for far-future timers;
 //! [`Sim::with_reference_queue`] selects the plain `BinaryHeap` reference
-//! scheduler instead. Both deliver the exact same total order —
-//! `(time, enqueue seq)` — which the integration suite proves by
-//! differential testing.
+//! scheduler instead (`FLEXTOE_SIM_REFERENCE=1` forces it process-wide).
+//! Both deliver the exact same total order — `(time, enqueue seq)` —
+//! which the integration suite proves by differential testing. Every
+//! event reaches its node through one call to [`Node::on_msg`].
 
 use std::any::Any;
 use std::cmp::Ordering;
@@ -385,38 +386,6 @@ pub trait Node: Any {
     /// Handle a message delivered at the current simulation time.
     fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg);
 
-    /// Handle a **burst continuation**: after [`Node::on_msg`] handled a
-    /// delivery, the engine probes the queue front; when the very next
-    /// ready event is addressed to this node too, the remaining run of
-    /// consecutive same-node events is drained through one `on_batch`
-    /// call — the node checkout and the [`Ctx`] are reused instead of
-    /// being rebuilt per event. (The first message always goes through
-    /// `on_msg`: singleton deliveries — the common case — pay nothing for
-    /// the coalescing machinery beyond one failed probe.)
-    ///
-    /// The default implementation drains the burst through [`Node::on_msg`]
-    /// one message at a time, so plain nodes behave identically with
-    /// bursting on or off. Hot nodes override this to hoist per-event work
-    /// (pool borrows, counter handles) out of the inner loop — routing
-    /// both `on_msg` and `on_batch` through one shared `deliver` helper.
-    ///
-    /// # Ordering contract
-    ///
-    /// [`MsgBurst::next`] yields exactly the messages the per-event engine
-    /// would have delivered, in the same order and at the same times
-    /// ([`Ctx::now`] advances per message): each call re-probes the queue
-    /// front, so a send issued mid-burst to *another* node ends the burst
-    /// at precisely the point the global `(time, enqueue-seq)` order
-    /// requires. An override must (a) call `next` until it returns `None`
-    /// and (b) be observationally identical to the default loop — same
-    /// sends in the same order, same statistics. No reordering or
-    /// cross-message fusion is permitted.
-    fn on_batch(&mut self, ctx: &mut Ctx<'_>, burst: &mut MsgBurst) {
-        while let Some(msg) = burst.next(ctx) {
-            self.on_msg(ctx, msg);
-        }
-    }
-
     /// Called once when the node joins a simulation
     /// ([`Sim::add_node`] / [`Sim::fill_node`]). Nodes resolve their
     /// [`crate::CounterHandle`]s here so per-event paths never pay a
@@ -455,9 +424,6 @@ pub struct Ctx<'a> {
     /// elements (switches, links, MAC queues) return dropped frames.
     pub pool: &'a mut PktBufPool,
     halt: &'a mut bool,
-    /// Per-kind delivered-event counters, present only under
-    /// `FLEXTOE_SIM_PROF=1` (burst continuations count through here).
-    prof_kinds: Option<&'a mut [u64; N_MSG_KINDS]>,
 }
 
 impl<'a> Ctx<'a> {
@@ -535,60 +501,6 @@ impl<'a> Ctx<'a> {
     }
 }
 
-/// Ceiling on events delivered per [`Node::on_batch`] call. Keeps
-/// [`Sim::step`] bounded (so `run_with_limit`'s runaway-loop guard still
-/// fires on zero-delay cycles) without measurably limiting coalescing —
-/// real bursts are far shorter.
-const BURST_CAP: u64 = 64;
-
-/// The lazily-drained event burst handed to [`Node::on_batch`]: the event
-/// that started the delivery plus every immediately following queue-front
-/// event addressed to the same node.
-pub struct MsgBurst {
-    to: NodeId,
-    first: Option<Msg>,
-    /// Deadline limit (`run_until`): events after it stay queued.
-    limit: Option<Time>,
-    /// Events yielded so far (the first message counts).
-    count: u64,
-    last_time: Time,
-}
-
-impl MsgBurst {
-    /// The next message of the burst, or `None` when the queue front moves
-    /// to another node, passes the deadline, hits the burst cap, or the
-    /// simulation was halted. Advances [`Ctx::now`] to the message's
-    /// delivery time.
-    #[inline]
-    pub fn next(&mut self, ctx: &mut Ctx<'_>) -> Option<Msg> {
-        if let Some(m) = self.first.take() {
-            return Some(m);
-        }
-        if *ctx.halt || self.count >= BURST_CAP {
-            return None;
-        }
-        let ev = ctx.queue.pop_front_if(self.to, self.limit)?;
-        debug_assert!(ev.time >= self.last_time, "burst time reversal");
-        ctx.now = ev.time;
-        self.count += 1;
-        self.last_time = ev.time;
-        if let Some(kinds) = ctx.prof_kinds.as_deref_mut() {
-            kinds[ev.msg.kind_idx()] += 1;
-        }
-        Some(ev.msg)
-    }
-
-    /// The node this burst is addressed to.
-    pub fn to(&self) -> NodeId {
-        self.to
-    }
-
-    /// Messages delivered through this burst so far.
-    pub fn delivered(&self) -> u64 {
-        self.count
-    }
-}
-
 // ---- the event queue -----------------------------------------------------
 
 pub(crate) struct Ev {
@@ -651,22 +563,6 @@ impl Queue {
         }
     }
 
-    /// Pop the front event only if it targets `to` (and, when `limit` is
-    /// given, is due no later than it) — the burst-continuation probe.
-    #[inline]
-    fn pop_front_if(&mut self, to: NodeId, limit: Option<Time>) -> Option<Ev> {
-        match self {
-            Queue::Wheel(w) => w.pop_front_if(to, limit),
-            Queue::Heap(h) => {
-                let front = h.peek()?;
-                if front.to != to || limit.is_some_and(|l| front.time > l) {
-                    return None;
-                }
-                h.pop()
-            }
-        }
-    }
-
     fn next_time(&self) -> Option<Time> {
         match self {
             Queue::Wheel(w) => w.next_time(),
@@ -713,11 +609,6 @@ pub struct Sim {
     pub frame_pool: PktBufPool,
     events_processed: u64,
     halt: bool,
-    /// Per-node delivery coalescing (`step` drains bursts through
-    /// [`Node::on_batch`]). On by default; `set_burst(false)` — or the
-    /// `FLEXTOE_SIM_REFERENCE=1` / `FLEXTOE_SIM_NOBURST=1` environment
-    /// knobs — select strict per-event delivery for differential runs.
-    burst: bool,
     /// Wall-clock self-profiling (`FLEXTOE_SIM_PROF=1`): per-node
     /// (ns, events) accumulated around each delivery. Off by default —
     /// the check is one predictable branch per event.
@@ -725,9 +616,6 @@ pub struct Sim {
     pub prof: Vec<(u64, u64)>,
     /// Delivered-event counts per [`Msg`] kind (profiling only).
     prof_kinds: [u64; N_MSG_KINDS],
-    /// Burst-length histogram (profiling only): index = burst length,
-    /// capped at [`BURST_CAP`].
-    prof_burst: Vec<u64>,
 }
 
 impl Sim {
@@ -743,11 +631,9 @@ impl Sim {
 
     pub fn with_queue(seed: u64, kind: QueueKind) -> Sim {
         let env_on = |name: &str| std::env::var_os(name).is_some_and(|v| v == "1");
-        // FLEXTOE_SIM_REFERENCE=1 forces the reference configuration
-        // (BinaryHeap scheduler, per-event delivery) regardless of what
-        // the caller selected — CI uses it to diff whole experiments
-        // against the burst engine. FLEXTOE_SIM_NOBURST=1 disables only
-        // the coalescing.
+        // FLEXTOE_SIM_REFERENCE=1 forces the reference BinaryHeap
+        // scheduler regardless of what the caller selected — CI uses it
+        // to diff whole experiments against the event wheel.
         let reference = env_on("FLEXTOE_SIM_REFERENCE");
         let kind = if reference { QueueKind::Heap } else { kind };
         Sim {
@@ -769,23 +655,10 @@ impl Sim {
             frame_pool: PktBufPool::new(SIM_POOL_BOUND),
             events_processed: 0,
             halt: false,
-            burst: !reference && !env_on("FLEXTOE_SIM_NOBURST"),
             prof_enabled: env_on("FLEXTOE_SIM_PROF"),
             prof: Vec::new(),
             prof_kinds: [0; N_MSG_KINDS],
-            prof_burst: Vec::new(),
         }
-    }
-
-    /// Enable/disable per-node delivery coalescing (on by default). The
-    /// delivery order — and therefore every simulated result — is
-    /// identical either way; only wall-clock behavior differs.
-    pub fn set_burst(&mut self, on: bool) {
-        self.burst = on;
-    }
-
-    pub fn burst_enabled(&self) -> bool {
-        self.burst
     }
 
     /// Enable/disable the event profiler programmatically (same switch
@@ -825,18 +698,6 @@ impl Sim {
             .collect();
         v.sort_by_key(|x| std::cmp::Reverse(x.1));
         v
-    }
-
-    /// Burst-length histogram (requires `FLEXTOE_SIM_PROF=1`): non-empty
-    /// `(burst length, bursts)` entries, ascending. The last bucket
-    /// aggregates bursts at the engine's cap.
-    pub fn prof_burst_hist(&self) -> Vec<(usize, u64)> {
-        self.prof_burst
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(len, &n)| (len, n))
-            .collect()
     }
 
     pub fn now(&self) -> Time {
@@ -1007,18 +868,9 @@ impl Sim {
         self.nodes.len()
     }
 
-    /// Deliver the next event — and, with bursting enabled, every
-    /// immediately following queue-front event addressed to the same node
-    /// (see [`Node::on_batch`]). Returns `false` when the queue is empty
-    /// or the simulation was halted.
+    /// Deliver the next event. Returns `false` when the queue is empty or
+    /// the simulation was halted.
     pub fn step(&mut self) -> bool {
-        self.step_limit(None)
-    }
-
-    /// [`Sim::step`] with an optional burst deadline: burst continuation
-    /// never delivers an event later than `limit` (the first event is the
-    /// caller's responsibility — `run_until` checks `next_time` first).
-    fn step_limit(&mut self, limit: Option<Time>) -> bool {
         if self.halt {
             return false;
         }
@@ -1039,72 +891,28 @@ impl Sim {
         if self.prof_enabled {
             self.prof_kinds[ev.msg.kind_idx()] += 1;
         }
-        let mut count = 1u64;
-        let mut last_time = ev.time;
-        {
-            let mut ctx = Ctx {
-                now: self.time,
-                self_id: to,
-                queue: &mut self.queue,
-                send_seq: &mut self.send_seqs[to],
-                seq_base: node_band(to),
-                owned: self.owned.as_deref(),
-                exports: &mut self.exports,
-                rng: &mut self.node_rngs[to],
-                stats: &mut self.stats,
-                pool: &mut self.frame_pool,
-                halt: &mut self.halt,
-                prof_kinds: if self.prof_enabled {
-                    Some(&mut self.prof_kinds)
-                } else {
-                    None
-                },
-            };
-            // Deliver the first message through the plain path: bursts of
-            // one are by far the common case, and this keeps them free of
-            // any coalescing overhead beyond a single follow-up probe.
-            node.on_msg(&mut ctx, ev.msg);
-            if self.burst && !*ctx.halt {
-                // the probe: is the very next event ours too?
-                if let Some(ev2) = ctx.queue.pop_front_if(to, limit) {
-                    ctx.now = ev2.time;
-                    if let Some(kinds) = ctx.prof_kinds.as_deref_mut() {
-                        kinds[ev2.msg.kind_idx()] += 1;
-                    }
-                    let mut burst = MsgBurst {
-                        to,
-                        first: Some(ev2.msg),
-                        limit,
-                        count: 2,
-                        last_time: ev2.time,
-                    };
-                    node.on_batch(&mut ctx, &mut burst);
-                    if let Some(m) = burst.first.take() {
-                        // an on_batch override that never called next()
-                        // violates the drain contract; deliver the
-                        // stranded message rather than losing it
-                        debug_assert!(false, "on_batch left its burst undrained");
-                        node.on_msg(&mut ctx, m);
-                    }
-                    count = burst.count;
-                    last_time = burst.last_time;
-                }
-            }
-        }
-        self.time = last_time;
-        self.events_processed += count;
+        let mut ctx = Ctx {
+            now: self.time,
+            self_id: to,
+            queue: &mut self.queue,
+            send_seq: &mut self.send_seqs[to],
+            seq_base: node_band(to),
+            owned: self.owned.as_deref(),
+            exports: &mut self.exports,
+            rng: &mut self.node_rngs[to],
+            stats: &mut self.stats,
+            pool: &mut self.frame_pool,
+            halt: &mut self.halt,
+        };
+        node.on_msg(&mut ctx, ev.msg);
+        self.events_processed += 1;
         if let Some(t0) = t0 {
             if self.prof.len() <= to {
                 self.prof.resize(to + 1, (0, 0));
             }
             let p = &mut self.prof[to];
             p.0 += t0.elapsed().as_nanos() as u64;
-            p.1 += count;
-            let cap = BURST_CAP as usize;
-            if self.prof_burst.len() <= cap {
-                self.prof_burst.resize(cap + 1, 0);
-            }
-            self.prof_burst[(count as usize).min(cap)] += 1;
+            p.1 += 1;
         }
         self.nodes[to] = Some(node);
         true
@@ -1112,15 +920,14 @@ impl Sim {
 
     /// Run until the queue drains, the halt flag is set, or `deadline` is
     /// reached (events at exactly `deadline` are delivered — including
-    /// ones scheduled *during* the final burst via the same-slot
-    /// direct-drain path). Bursts are deadline-limited, so the post-burst
-    /// clock never overshoots `deadline`.
+    /// ones scheduled *during* the last delivery via the same-slot
+    /// direct-drain path).
     pub fn run_until(&mut self, deadline: Time) {
         while let Some(t) = self.queue.next_time() {
             if t > deadline || self.halt {
                 break;
             }
-            self.step_limit(Some(deadline));
+            self.step();
         }
         if !self.halt {
             self.time = self
@@ -1401,76 +1208,10 @@ mod tests {
         });
     }
 
-    /// Bursting is transparent: per-event delivery (reference) and burst
-    /// delivery produce identical logs and identical `events_processed`.
+    /// `ctx.halt()` stops delivery mid-way through a same-time train of
+    /// events for one node: the rest of the train stays queued.
     #[test]
-    fn burst_and_per_event_delivery_are_identical() {
-        let run = |burst: bool| {
-            let mut sim = Sim::new(7);
-            sim.set_burst(burst);
-            let r = sim.add_node(Recorder { seen: vec![] });
-            // several same-timestamp trains (classic burst shape) plus
-            // spread-out singles
-            for i in 0..40u32 {
-                sim.schedule(Time::from_ns((i / 8) as u64 * 100), r, i);
-            }
-            sim.run();
-            (
-                sim.node_ref::<Recorder>(r).seen.clone(),
-                sim.events_processed(),
-            )
-        };
-        assert_eq!(run(true), run(false));
-    }
-
-    /// A node overriding `on_batch` sees every message of its burst, in
-    /// order, with `Ctx::now` advancing per message.
-    #[test]
-    fn on_batch_override_observes_whole_burst() {
-        struct Batcher {
-            bursts: Vec<Vec<(u64, u64)>>, // per burst: (ns, token)
-        }
-        impl Node for Batcher {
-            fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
-                let Msg::Token(v) = msg else { panic!() };
-                self.bursts.push(vec![(ctx.now().as_ns(), v)]);
-            }
-            fn on_batch(&mut self, ctx: &mut Ctx<'_>, burst: &mut MsgBurst) {
-                let mut got = Vec::new();
-                while let Some(msg) = burst.next(ctx) {
-                    let Msg::Token(v) = msg else { panic!() };
-                    got.push((ctx.now().as_ns(), v));
-                }
-                self.bursts.push(got);
-            }
-        }
-        let mut sim = Sim::new(1);
-        let b = sim.add_node(Batcher { bursts: vec![] });
-        let other = sim.add_node(Recorder { seen: vec![] });
-        for i in 0..5u64 {
-            sim.schedule(Time::from_ns(10), b, i);
-        }
-        // an interleaved event for another node at a later time ends the
-        // burst there
-        sim.schedule(Time::from_ns(20), other, 99u32);
-        sim.schedule(Time::from_ns(30), b, 7u64);
-        sim.run();
-        let bursts = &sim.node_ref::<Batcher>(b).bursts;
-        // the first message of a train goes through on_msg (singleton
-        // fast path); the rest of the run arrives as one on_batch call
-        assert_eq!(bursts[0], vec![(10, 0)]);
-        assert_eq!(
-            bursts[1],
-            vec![(10, 1), (10, 2), (10, 3), (10, 4)],
-            "rest of the same-time train in one burst continuation"
-        );
-        assert_eq!(bursts[2], vec![(30, 7)]);
-        assert_eq!(sim.events_processed(), 7);
-    }
-
-    /// `ctx.halt()` inside a burst stops further burst continuation.
-    #[test]
-    fn halt_ends_burst_immediately() {
+    fn halt_stops_same_time_train() {
         struct HaltOnSecond {
             seen: u32,
         }

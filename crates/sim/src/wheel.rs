@@ -54,7 +54,7 @@
 
 use std::collections::{BinaryHeap, VecDeque};
 
-use crate::engine::{Ev, Msg, NodeId};
+use crate::engine::{Ev, Msg};
 use crate::time::Time;
 
 /// log2 of the bucket width in picoseconds (4096 ps ≈ 4 ns).
@@ -275,38 +275,6 @@ impl EventWheel {
             return None;
         }
         Some(self.take_front())
-    }
-
-    /// Pop the front event only if it is addressed to `to` (and due no
-    /// later than `limit`, when given) — the engine's burst-continuation
-    /// probe. Deliberately looks only at the *staged* runs (the `ready`
-    /// remainder and the hot deque): when both are exhausted it declines
-    /// rather than rotating the window, so a failed probe — the common
-    /// case — costs a bounds check and a compare, and never disturbs the
-    /// wheel. Declining to coalesce is always order-safe; the next `pop`
-    /// does the staging work instead.
-    #[inline(always)]
-    pub(crate) fn pop_front_if(&mut self, to: NodeId, limit: Option<Time>) -> Option<Ev> {
-        let hot_first = !self.hot.is_empty() && self.hot_first();
-        let front = if hot_first {
-            // hot events live in the cursor bucket, which precedes every
-            // unstaged bucket and the overflow heap: with `ready`
-            // exhausted the hot front is still the global front
-            self.hot.front().expect("checked non-empty")
-        } else {
-            self.ready.get(self.ready_pos)?
-        };
-        if front.to != to || limit.is_some_and(|l| front.time > l) {
-            return None;
-        }
-        self.len -= 1;
-        Some(if hot_first {
-            self.hot.pop_front().expect("checked non-empty")
-        } else {
-            let pos = self.ready_pos;
-            self.ready_pos += 1;
-            std::mem::replace(&mut self.ready[pos], dummy_ev())
-        })
     }
 
     /// Earliest queued timestamp without mutating the wheel (public
@@ -537,37 +505,5 @@ mod tests {
             let mut r2 = r1.clone();
             assert_eq!(run(false, &mut r1), run(true, &mut r2));
         }
-    }
-
-    /// `pop_front_if` only surfaces staged-front events for the right
-    /// node, never rotates the window, and honors the deadline limit.
-    #[test]
-    fn pop_front_if_is_a_safe_probe() {
-        let mut wheel = EventWheel::new();
-        let mk = |t: u64, seq: u64, to: usize| Ev {
-            time: Time(t),
-            seq,
-            to,
-            msg: Msg::Tick,
-        };
-        wheel.push(mk(100, 0, 1));
-        wheel.push(mk(110, 1, 2));
-        // nothing staged yet: the probe declines rather than staging
-        assert!(wheel.pop_front_if(1, None).is_none());
-        assert_eq!(wheel.pop().map(|e| e.seq), Some(0));
-        // staged front is for node 2: probe for node 1 fails, node 2 hits
-        assert!(wheel.pop_front_if(1, None).is_none());
-        // deadline below the front time declines too
-        assert!(wheel.pop_front_if(2, Some(Time(105))).is_none());
-        assert_eq!(
-            wheel.pop_front_if(2, Some(Time(110))).map(|e| e.seq),
-            Some(1)
-        );
-        assert_eq!(wheel.len(), 0);
-        // hot-deque front is probe-visible after the staged run empties
-        wheel.push(mk(100, 2, 7));
-        assert_eq!(wheel.pop().map(|e| e.seq), Some(2));
-        wheel.push(mk(100, 3, 7));
-        assert_eq!(wheel.pop_front_if(7, None).map(|e| e.seq), Some(3));
     }
 }

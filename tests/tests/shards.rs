@@ -11,9 +11,9 @@
 //! the real topo-level scale/faults scenarios.
 //!
 //! Engine coverage: the whole file is engine-agnostic — CI runs it once
-//! on the burst engine and once with `FLEXTOE_SIM_REFERENCE=1` (the
-//! Heap + no-burst reference configuration), so both engines prove the
-//! same identity.
+//! on the event wheel and once with `FLEXTOE_SIM_REFERENCE=1` (the
+//! `BinaryHeap` reference scheduler), so both engines prove the same
+//! identity.
 
 use flextoe_bench::faults::{run_faults_point, FaultsOutcome, FaultsPlan};
 use flextoe_bench::scale::{run_scale_point, ScaleOutcome};
@@ -123,7 +123,7 @@ fn build_graph(seed: u64) -> (Sim, Vec<u32>) {
     let n = group_of.len();
 
     // Edge lists: intra-group edges may be zero-delay (same-slot direct
-    // drain in the burst engine); inter-group edges respect lookahead.
+    // drain on the wheel); inter-group edges respect lookahead.
     let mut edges: Vec<Vec<(usize, u64)>> = vec![Vec::new(); n];
     for (node, item) in edges.iter_mut().enumerate() {
         let g = group_of[node] as usize;
