@@ -458,8 +458,8 @@ impl<S: StackApi + 'static> Node for RpcClientApp<S> {
             self.connect_next(ctx);
             return;
         }
-        // Tick is a typed variant: match it before handing the message to
-        // the stack, avoiding the repack allocation of a failed try_cast
+        // Tick is a typed variant, which try_cast never downcasts: match
+        // it here before handing custom messages to the stack
         let msg = match msg {
             Msg::Tick => {
                 self.connect_next(ctx);

@@ -342,7 +342,7 @@ pub fn chaos_scenario(seed: u64, row: &ChaosRow, plan: &FaultsPlan) -> Scenario 
     let opts = PairOpts {
         min_rto: plan.min_rto,
         syn_retry: plan.syn_retry,
-        rto_give_up: Some(plan.rto_give_up),
+        rto_give_up: plan.rto_give_up,
         ..Default::default()
     };
     let hosts = (0..fabric.n_hosts())

@@ -834,3 +834,14 @@ pub fn with_wall_extras(
     s.push_str("\n}\n");
     s
 }
+
+#[cfg(test)]
+mod tests {
+    /// CI's `strip_wall` shell function must match exactly the keys
+    /// [`super::with_wall_extras`] writes.
+    #[test]
+    fn ci_strip_wall_uses_wall_keys_re() {
+        let script = include_str!("../../../ci/strip_wall.sh");
+        assert!(script.contains(&format!("grep -vE '{}'", super::WALL_KEYS_RE)));
+    }
+}

@@ -10,11 +10,11 @@
 //!   synthetic flows straight into the switches (dst IP deliberately
 //!   unrouted: the fast path observes each frame, then flood-drops the
 //!   buffer back into the pool). Flow sizes follow a harmonic skew
-//!   (`1 + C/(rank+1)`) or an adversarial uniform spread — the count-min
+//!   (`1 + C/(rank+1)`) or an adversarial uniform spread — the sketch's
 //!   worst case, where no flow clears the heavy-hitter threshold and
 //!   collision noise dominates the small-flow relative error. Rows score
 //!   the collector's merged per-switch views against per-switch truth:
-//!   ARE for the plain count-min and the LSB-sharing variant,
+//!   the LSB-sharing sketch's ARE and under-estimate count,
 //!   heavy-hitter recall/precision, and an exactness check that every
 //!   observed byte landed in a swept epoch.
 //! * **faults** — the chaos plane's spine-kill and link-flap schedules
@@ -225,9 +225,7 @@ impl Node for AccuracyPump {
 struct AggScore {
     flows: u64,
     truth_bytes: u64,
-    cm_are: f64,
     lsb_are: f64,
-    cm_under: u64,
     lsb_under: u64,
     hh_truth: u64,
     hh_est: u64,
@@ -244,9 +242,7 @@ fn score_fabric(sim: &Sim, fab: &BuiltFabric, theta: f64) -> AggScore {
     let mut agg = AggScore {
         flows: 0,
         truth_bytes: 0,
-        cm_are: 0.0,
         lsb_are: 0.0,
-        cm_under: 0,
         lsb_under: 0,
         hh_truth: 0,
         hh_est: 0,
@@ -255,7 +251,7 @@ fn score_fabric(sim: &Sim, fab: &BuiltFabric, theta: f64) -> AggScore {
         candidates: 0,
         complete: true,
     };
-    let (mut cm_are_w, mut lsb_are_w) = (0.0f64, 0.0f64);
+    let mut lsb_are_w = 0.0f64;
     let (mut recall_w, mut precision_w) = (0.0f64, 0.0f64);
     for (i, &s) in fab.switches.iter().enumerate() {
         let sw = sim.node_ref::<Switch>(s);
@@ -267,24 +263,19 @@ fn score_fabric(sim: &Sim, fab: &BuiltFabric, theta: f64) -> AggScore {
         let truth_bytes: u64 = truth.iter().map(|&(_, v)| v).sum();
         let v = &col.views()[i];
         let cands: Vec<u64> = v.keys.iter().copied().collect();
-        let s_cm = score_sketch(&truth, |k| v.cm.estimate(k), &cands, v.bytes, theta);
-        let s_lsb = score_sketch(&truth, |k| v.lsb.estimate(k), &cands, v.bytes, theta);
-        let n = truth.len() as f64;
+        let sc = score_sketch(&truth, |k| v.lsb.estimate(k), &cands, v.bytes, theta);
         agg.flows += truth.len() as u64;
         agg.truth_bytes += truth_bytes;
-        cm_are_w += s_cm.are * n;
-        lsb_are_w += s_lsb.are * n;
-        agg.cm_under += s_cm.underestimates;
-        agg.lsb_under += s_lsb.underestimates;
-        recall_w += s_cm.hh_recall * s_cm.hh_truth as f64;
-        precision_w += s_cm.hh_precision * s_cm.hh_est as f64;
-        agg.hh_truth += s_cm.hh_truth as u64;
-        agg.hh_est += s_cm.hh_est as u64;
+        lsb_are_w += sc.are * truth.len() as f64;
+        agg.lsb_under += sc.underestimates;
+        recall_w += sc.hh_recall * sc.hh_truth as f64;
+        precision_w += sc.hh_precision * sc.hh_est as f64;
+        agg.hh_truth += sc.hh_truth as u64;
+        agg.hh_est += sc.hh_est as u64;
         agg.candidates += cands.len() as u64;
         agg.complete &= v.bytes == truth_bytes;
     }
     if agg.flows > 0 {
-        agg.cm_are = cm_are_w / agg.flows as f64;
         agg.lsb_are = lsb_are_w / agg.flows as f64;
     }
     if agg.hh_truth > 0 {
@@ -375,20 +366,18 @@ fn run_accuracy(
     let sim_events = sim.events_processed();
     TelemetryRow {
         line: format!(
-            "{:<24} {:>7} {:>8} {:>9.4} {:>9.4} {:>7.3} {:>7.3} {:>9}",
-            name, agg.flows, frames, agg.cm_are, agg.lsb_are, agg.hh_recall, agg.hh_precision,
+            "{:<24} {:>7} {:>8} {:>9.4} {:>9} {:>7.3} {:>7.3} {:>9}",
+            name, agg.flows, frames, agg.lsb_are, agg.lsb_under, agg.hh_recall, agg.hh_precision,
             agg.complete
         ),
         json: format!(
-            "{{\"name\": \"{}\", \"kind\": \"accuracy\", \"flows\": {}, \"frames\": {}, \"truth_bytes\": {}, \"complete\": {}, \"cm_are\": {:.4}, \"lsb_are\": {:.4}, \"cm_underestimates\": {}, \"lsb_underestimates\": {}, \"hh_truth\": {}, \"hh_est\": {}, \"hh_recall\": {:.4}, \"hh_precision\": {:.4}, \"candidates\": {}, \"reports\": {}, \"report_bytes\": {}, \"sim_events\": {}}}",
+            "{{\"name\": \"{}\", \"kind\": \"accuracy\", \"flows\": {}, \"frames\": {}, \"truth_bytes\": {}, \"complete\": {}, \"lsb_are\": {:.4}, \"lsb_underestimates\": {}, \"hh_truth\": {}, \"hh_est\": {}, \"hh_recall\": {:.4}, \"hh_precision\": {:.4}, \"candidates\": {}, \"reports\": {}, \"report_bytes\": {}, \"sim_events\": {}}}",
             name,
             agg.flows,
             frames,
             agg.truth_bytes,
             agg.complete,
-            agg.cm_are,
             agg.lsb_are,
-            agg.cm_under,
             agg.lsb_under,
             agg.hh_truth,
             agg.hh_est,
@@ -477,20 +466,20 @@ fn run_fault(seed: u64, name: &'static str, plan: &FaultsPlan) -> TelemetryRow {
             name,
             agg.flows,
             missed_reports,
-            agg.cm_are,
-            agg.cm_under,
+            agg.lsb_are,
+            agg.lsb_under,
             agg.hh_recall,
             agg.hh_precision,
             buf_delta == 0,
         ),
         json: format!(
-            "{{\"name\": \"{}\", \"kind\": \"faults\", \"flows\": {}, \"truth_bytes\": {}, \"complete\": {}, \"cm_are\": {:.4}, \"cm_underestimates\": {}, \"hh_recall\": {:.4}, \"hh_precision\": {:.4}, \"reports\": {}, \"bad_reports\": {}, \"missed_reports\": {}, \"completed\": {}, \"buf_delta\": {}, \"conserved\": {}, \"sim_events\": {}}}",
+            "{{\"name\": \"{}\", \"kind\": \"faults\", \"flows\": {}, \"truth_bytes\": {}, \"complete\": {}, \"lsb_are\": {:.4}, \"lsb_underestimates\": {}, \"hh_recall\": {:.4}, \"hh_precision\": {:.4}, \"reports\": {}, \"bad_reports\": {}, \"missed_reports\": {}, \"completed\": {}, \"buf_delta\": {}, \"conserved\": {}, \"sim_events\": {}}}",
             name,
             agg.flows,
             agg.truth_bytes,
             agg.complete,
-            agg.cm_are,
-            agg.cm_under,
+            agg.lsb_are,
+            agg.lsb_under,
             agg.hh_recall,
             agg.hh_precision,
             reports,
@@ -686,9 +675,9 @@ pub fn telemetry(opts: &RunOpts) {
     );
     println!(
         "{:<24} {:>7} {:>8} {:>9} {:>9} {:>7} {:>7} {:>9}",
-        "row", "flows", "frames*", "cm_are*", "lsb_are*", "recall", "precis", "ok"
+        "row", "flows*", "frames*", "lsb_are*", "under*", "recall*", "precis*", "ok"
     );
-    println!("# (* fault rows: missed reports / underestimates; hh rows: completed / elephants / goodput / jfi / steered)");
+    println!("# (* fault rows: frames = missed reports; hh rows: completed / elephants / goodput / jfi / steered / reroutes)");
     let wall0 = std::time::Instant::now();
     let results = run_telemetry_jobs(seed, &plan, jobs);
     let wall = wall0.elapsed().as_secs_f64();

@@ -23,10 +23,11 @@
 //! ARP is statically configured (`add_peer`) — the testbed's address
 //! resolution, not an experiment subject.
 
-pub mod cc;
 pub mod rto;
 
-use flextoe_ccp::{FlowReport, FoldSpec, Insn};
+use flextoe_ccp::{
+    rate_to_interval, Algorithm, FlowReport, FlowStats, FoldSpec, Insn, Registry, Urgent,
+};
 use flextoe_core::hostmem::{shared_buf, AppToNic, SharedBuf, SharedCtxQueue};
 use flextoe_core::segment::ConnEntry;
 use flextoe_core::stages::{Doorbell, NotifyJob, Redirect, RegisterCtx, SchedCtl};
@@ -40,7 +41,6 @@ use flextoe_wire::{
     Ecn, FourTuple, Frame, Ip4, MacAddr, SegmentSpec, SegmentView, SeqNum, TcpFlags, TcpOptions,
 };
 
-use cc::{rate_to_interval, Algorithm, FlowStats, Registry, Urgent};
 use rto::{RtoTracker, RtoVerdict};
 
 /// The control plane's own context-queue id (for HC injections).
@@ -112,8 +112,7 @@ pub struct CtrlConfig {
     /// Consecutive no-progress RTO firings before an established
     /// connection is aborted (RST + teardown + a typed
     /// `NicToApp::Aborted` to the app) instead of retrying forever.
-    /// `None` restores the legacy retry-forever behavior.
-    pub rto_give_up: Option<u32>,
+    pub rto_give_up: u32,
     /// SYN admission control: refuse new passive opens with an RST once
     /// this many connections are installed (counted in
     /// `ctrl.admission_refused`). Admission recovers by itself as
@@ -132,7 +131,7 @@ impl Default for CtrlConfig {
             min_rto: Duration::from_ms(1),
             syn_retry: Duration::from_ms(5),
             syn_attempts: 4,
-            rto_give_up: Some(8),
+            rto_give_up: 8,
             max_conns: None,
         }
     }
@@ -158,8 +157,6 @@ pub enum AppRequest {
         /// Application cookie echoed in the reply.
         opaque: u64,
     },
-    /// Fully tear down a closed connection's data-path state.
-    Teardown { conn: u32 },
 }
 
 pub enum AppReply {
@@ -983,10 +980,14 @@ struct CtrlCounters {
 impl Node for ControlPlane {
     fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
         // batched congestion reports are the hot control-plane message:
-        // match the typed variant directly, no downcast
+        // typed variants match directly, no downcast
         let msg = match msg {
             Msg::Report(token) => {
                 self.on_report_batch(ctx, token);
+                return;
+            }
+            Msg::Tick => {
+                self.control_iteration(ctx);
                 return;
             }
             m => m,
@@ -994,13 +995,6 @@ impl Node for ControlPlane {
         let msg = match try_cast::<Redirect>(msg) {
             Ok(r) => {
                 self.on_redirect(ctx, r.0.into_bytes());
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match try_cast::<Tick>(msg) {
-            Ok(_) => {
-                self.control_iteration(ctx);
                 return;
             }
             Err(m) => m,
@@ -1047,7 +1041,6 @@ impl Node for ControlPlane {
                     opaque,
                 );
             }
-            AppRequest::Teardown { conn } => self.teardown_now(ctx, conn),
         }
     }
 

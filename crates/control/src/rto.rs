@@ -38,8 +38,8 @@ pub struct RtoTracker {
     pub min_rto: Duration,
     pub max_rto: Duration,
     /// Consecutive no-progress RTO firings a flow is allowed before
-    /// [`RtoVerdict::GiveUp`] (`None` = legacy retry-forever).
-    pub give_up_after: Option<u32>,
+    /// [`RtoVerdict::GiveUp`].
+    pub give_up_after: u32,
     pub fired: u64,
     pub gave_up: u64,
 }
@@ -50,7 +50,7 @@ impl RtoTracker {
             flows: Vec::new(),
             min_rto,
             max_rto: Duration::from_ms(200),
-            give_up_after: None,
+            give_up_after: 8,
             fired: 0,
             gave_up: 0,
         }
@@ -110,7 +110,7 @@ impl RtoTracker {
         let base = Duration::from_us(4 * srtt_us.max(1) as u64).max(self.min_rto);
         let rto = (base * (1u64 << f.backoff.min(6))).min(self.max_rto);
         if now.saturating_since(f.since) >= rto {
-            if self.give_up_after.is_some_and(|limit| f.backoff >= limit) {
+            if f.backoff >= self.give_up_after {
                 self.gave_up += 1;
                 return RtoVerdict::GiveUp;
             }
@@ -216,7 +216,7 @@ mod tests {
     #[test]
     fn blackholed_flow_gives_up_after_budget() {
         let mut t = RtoTracker::new(MIN);
-        t.give_up_after = Some(3);
+        t.give_up_after = 3;
         t.register(1);
         let una = SeqNum(0);
         t.observe(1, una, 100, Time::ZERO, 10); // arms
@@ -240,20 +240,5 @@ mod tests {
             t.observe(1, SeqNum(500), 100, now + Duration::from_ms(301), 10),
             Fire
         );
-    }
-
-    /// `give_up_after: None` preserves the legacy retry-forever behavior.
-    #[test]
-    fn no_threshold_retries_forever() {
-        let mut t = RtoTracker::new(MIN);
-        t.register(1);
-        let una = SeqNum(0);
-        t.observe(1, una, 100, Time::ZERO, 10);
-        let mut now = Time::ZERO;
-        for _ in 0..50 {
-            now += Duration::from_ms(300);
-            assert_eq!(t.observe(1, una, 100, now, 10), Fire);
-        }
-        assert_eq!(t.gave_up, 0);
     }
 }

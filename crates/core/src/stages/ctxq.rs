@@ -114,11 +114,7 @@ impl CtxqStage {
             }
         };
         if self.cfg.platform.hw_dma {
-            ctx.send_boxed(
-                self.engine,
-                d,
-                Msg::Xfer(dma_req(bytes, dir, ctx.self_id(), token)),
-            );
+            ctx.send(self.engine, d, dma_req(bytes, dir, ctx.self_id(), token));
         } else {
             let to = ctx.self_id();
             ctx.wake(d, flextoe_sim::XferDone { token, to });

@@ -890,8 +890,8 @@ impl HostStackNode {
 
 impl Node for HostStackNode {
     fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
-        // hot paths first: typed variants match without the repack boxes
-        // the legacy try_cast chain below would pay
+        // typed variants match directly; the try_cast chain below only
+        // downcasts custom messages
         let msg = match msg {
             Msg::Frame(frame) => {
                 self.on_frame(ctx, frame);

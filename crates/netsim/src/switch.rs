@@ -742,7 +742,9 @@ mod tests {
     }
     impl Node for Probe {
         fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
-            let f = flextoe_sim::cast::<Frame>(msg);
+            let Msg::Frame(f) = msg else {
+                panic!("probe expects frames")
+            };
             self.frames.push((ctx.now().as_ns(), f.into_bytes()));
         }
     }

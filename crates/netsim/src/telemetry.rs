@@ -113,11 +113,11 @@ impl Collector {
     }
 
     /// Collector-confirmed elephants of one switch's merged view:
-    /// candidate keys whose count-min estimate clears `hh_theta` of the
+    /// candidate keys whose sketch estimate clears `hh_theta` of the
     /// switch's observed bytes. Sorted ascending (deterministic).
     pub fn elephants(&self, switch: usize) -> Vec<u64> {
         let v = &self.views[switch];
-        let flows: Vec<(u64, u64)> = v.keys.iter().map(|&k| (k, v.cm.estimate(k))).collect();
+        let flows: Vec<(u64, u64)> = v.keys.iter().map(|&k| (k, v.lsb.estimate(k))).collect();
         heavy_hitters(&flows, v.bytes, self.spec.hh_theta)
     }
 

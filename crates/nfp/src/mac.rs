@@ -109,14 +109,16 @@ impl Node for MacPort {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flextoe_sim::{cast, Sim};
+    use flextoe_sim::Sim;
 
     struct Probe {
         frames: Vec<(u64, usize)>, // (ns, len)
     }
     impl Node for Probe {
         fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
-            let f = cast::<Frame>(msg);
+            let Msg::Frame(f) = msg else {
+                panic!("probe expects frames")
+            };
             self.frames.push((ctx.now().as_ns(), f.len()));
         }
     }

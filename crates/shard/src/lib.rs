@@ -516,7 +516,7 @@ impl<B> Drop for ShardedSim<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flextoe_sim::{cast, Ctx, Msg, Node};
+    use flextoe_sim::{Ctx, Msg, Node};
     use flextoe_wire::Frame;
 
     /// Echoes every received frame back to a peer on another shard
@@ -531,7 +531,7 @@ mod tests {
         fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
             let frame = match msg {
                 Msg::Frame(f) => f,
-                other => *cast::<Frame>(other),
+                other => panic!("ping-pong: unexpected {}", other.variant_name()),
             };
             self.log.push((ctx.now().ps(), frame.bytes[0]));
             if self.hops > 0 {

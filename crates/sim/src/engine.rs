@@ -39,9 +39,8 @@
 //! tokens, DMA transfer requests/completions, scheduler and context-queue
 //! tokens — so the per-event fast path never touches the heap. Everything
 //! else (control-plane requests, application messages, test fixtures)
-//! rides in [`Msg::Custom`], a type-erased box with exactly the semantics
-//! the engine had before the typed core: [`cast`] / [`try_cast`] keep
-//! working for every message type, typed variants included.
+//! rides in [`Msg::Custom`], a type-erased box. Receivers match typed
+//! variants directly; [`cast`] / [`try_cast`] downcast `Custom` only.
 //!
 //! # Scheduling
 //!
@@ -211,11 +210,6 @@ pub enum Msg {
 }
 
 impl Msg {
-    /// Wrap an arbitrary value as a custom (type-erased) message.
-    pub fn custom<T: Any>(value: T) -> Msg {
-        Msg::Custom(Box::new(value))
-    }
-
     pub fn variant_name(&self) -> &'static str {
         MSG_KIND_NAMES[self.kind_idx()]
     }
@@ -327,39 +321,13 @@ macro_rules! custom_msg {
 // u32 is the conventional scalar payload in unit tests.
 custom_msg!(u32);
 
-/// Compatibility downcast helper: re-box a typed variant's payload so a
-/// `cast::<T>` / `try_cast::<T>` written against the old fully-type-erased
-/// engine still observes the same types. Costs an allocation, so hot
-/// receivers match on [`Msg`] directly instead.
-fn repack<T: 'static, U: Any>(value: U, back: impl FnOnce(U) -> Msg) -> Result<Box<T>, Msg> {
-    let boxed: Box<dyn Any> = Box::new(value);
-    boxed
-        .downcast::<T>()
-        .map_err(|b| back(*b.downcast::<U>().expect("repack round-trip")))
-}
-
-/// Downcast a message, returning it back on mismatch.
-///
-/// Typed variants still downcast to their payload type (`Tick`, `Frame`,
-/// `MacTx`, …) so dispatch chains written before the typed core behave
-/// identically — at the cost of a compatibility re-box. Hot receivers
-/// should match on [`Msg`] directly.
+/// Downcast a [`Msg::Custom`] payload, returning the message back on
+/// mismatch. Typed variants are never downcast — match them on [`Msg`]
+/// directly — so they always come back unchanged.
 pub fn try_cast<T: 'static>(msg: Msg) -> Result<Box<T>, Msg> {
     match msg {
         Msg::Custom(b) => b.downcast::<T>().map_err(Msg::Custom),
-        Msg::Tick => repack(Tick, |_| Msg::Tick),
-        Msg::Frame(f) => repack(f, Msg::Frame),
-        Msg::MacTx(m) => repack(m, Msg::MacTx),
-        Msg::Work(w) => repack(w, Msg::Work),
-        Msg::Nbi(n) => repack(n, Msg::Nbi),
-        Msg::Xfer(x) => repack(x, Msg::Xfer),
-        Msg::XferDone(x) => repack(x, Msg::XferDone),
-        Msg::Token(t) => repack(t, Msg::Token),
-        Msg::FsUpdate(f) => repack(f, Msg::FsUpdate),
-        Msg::Doorbell(d) => repack(d, Msg::Doorbell),
-        Msg::FreeDesc => repack(FreeDesc, |_| Msg::FreeDesc),
-        Msg::Report(r) => repack(r, Msg::Report),
-        Msg::Skip(s) => Err(Msg::Skip(s)),
+        m => Err(m),
     }
 }
 
@@ -471,13 +439,6 @@ impl<'a> Ctx<'a> {
     #[inline]
     pub fn send<M: IntoMsg>(&mut self, to: NodeId, delay: Duration, msg: M) {
         self.push(self.now + delay, to, msg.into_msg());
-    }
-
-    /// Send an already-converted message (kept for call sites that build
-    /// a [`Msg`] up front).
-    #[inline]
-    pub fn send_boxed(&mut self, to: NodeId, delay: Duration, msg: Msg) {
-        self.push(self.now + delay, to, msg);
     }
 
     /// Send `msg` to node `to` at an absolute instant (>= now).
@@ -1142,28 +1103,26 @@ mod tests {
 
     #[test]
     fn try_cast_returns_msg_on_mismatch() {
-        let m: Msg = Msg::custom(42u32);
+        let m = 42u32.into_msg();
         let m = try_cast::<String>(m).unwrap_err();
         assert_eq!(*cast::<u32>(m), 42);
     }
 
     #[test]
-    fn typed_variants_survive_compat_cast() {
-        // dispatch chains written against the old type-erased engine keep
-        // working on typed variants via the repack path
-        let m = Tick.into_msg();
-        let m = try_cast::<Frame>(m).unwrap_err();
-        assert!(try_cast::<Tick>(m).is_ok());
+    fn try_cast_hands_typed_variants_back() {
+        // typed variants are never downcast, not even to their own
+        // payload type: try_cast returns them unchanged
+        let m = try_cast::<Tick>(Tick.into_msg()).unwrap_err();
+        assert!(matches!(m, Msg::Tick));
 
-        let m = Frame::raw(vec![1, 2, 3]).into_msg();
-        let m = try_cast::<MacTx>(m).unwrap_err();
-        assert_eq!(cast::<Frame>(m).bytes, vec![1, 2, 3]);
+        let m = try_cast::<Frame>(Frame::raw(vec![1, 2, 3]).into_msg()).unwrap_err();
+        assert!(matches!(m, Msg::Frame(f) if f.bytes == vec![1, 2, 3]));
 
-        let m = MacTx(Frame::raw(vec![9])).into_msg();
-        assert_eq!(cast::<MacTx>(m).0.bytes, vec![9]);
+        let m = try_cast::<MacTx>(MacTx(Frame::raw(vec![9])).into_msg()).unwrap_err();
+        assert!(matches!(m, Msg::MacTx(MacTx(f)) if f.bytes == vec![9]));
 
-        let m = 7u64.into_msg();
-        assert_eq!(*cast::<u64>(m), 7);
+        let m = try_cast::<u64>(7u64.into_msg()).unwrap_err();
+        assert!(matches!(m, Msg::Token(7)));
     }
 
     #[test]
@@ -1246,8 +1205,10 @@ mod tests {
         }
         impl Node for Fwd {
             fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
-                let f = cast::<Frame>(msg);
-                ctx.send(self.peer, Duration::from_ns(500), *f);
+                let Msg::Frame(f) = msg else {
+                    panic!("forwarder expects frames")
+                };
+                ctx.send(self.peer, Duration::from_ns(500), f);
             }
         }
         struct Sink {
@@ -1255,8 +1216,10 @@ mod tests {
         }
         impl Node for Sink {
             fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
-                let f = cast::<Frame>(msg);
-                self.got.push((ctx.now().as_ns(), f.bytes.clone()));
+                let Msg::Frame(f) = msg else {
+                    panic!("sink expects frames")
+                };
+                self.got.push((ctx.now().as_ns(), f.bytes));
             }
         }
 

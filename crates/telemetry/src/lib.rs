@@ -2,21 +2,19 @@
 //! reports, collector-side merged views, and ground-truth differential
 //! metrics.
 //!
-//! Two sketch families run side by side on every telemetry-enabled
-//! switch, both fed from the *same* precomputed flow key
-//! (`flextoe-wire`'s `FrameMeta::flow_basis`) so the forwarding fast
-//! path pays no extra parse and no extra allocation:
-//!
-//! - [`CountMin`] — the classic count-min sketch with per-row
-//!   multiply-shift indexing (one multiply + shift per row, no fresh
-//!   hash of the key material).
-//! - [`LsbSketch`] — an LSB-sharing / locality-sensitive variant after
-//!   arXiv:1905.03113 and arXiv:2503.11777: a *single* 64-bit mix of
-//!   the basis is computed once, and each row indexes an overlapping
-//!   bit window of that one hash. Rows share low bits (hence the
-//!   name), which makes the per-update cost one mix regardless of
-//!   depth and makes row indices of one key *correlated* — the trade
-//!   the papers study for resilient monitoring.
+//! Every telemetry-enabled switch runs one sketch, the LSB-sharing
+//! [`LsbSketch`] after arXiv:1905.03113 and arXiv:2503.11777, fed from
+//! the frame's precomputed flow key (`flextoe-wire`'s
+//! `FrameMeta::flow_basis`) so the forwarding fast path pays no extra
+//! parse and no extra allocation. A *single* 64-bit mix of the basis
+//! is computed once, and each row indexes an overlapping bit window of
+//! that one hash. Rows share low bits (hence the name), which makes
+//! the per-update cost one mix regardless of depth and makes row
+//! indices of one key *correlated* — the trade the papers study for
+//! resilient monitoring. Point queries take the minimum over rows, so
+//! an intact sketch never under-estimates a flow. A direct-mapped
+//! [`KeyTable`] beside it remembers candidate keys, which is what lets
+//! the collector name heavy hitters rather than only count them.
 //!
 //! Sketches snapshot-and-reset into flat epoch reports
 //! ([`SwitchSketch::encode_sweep`]) that travel the simulated fabric
@@ -30,4 +28,4 @@ mod sketch;
 
 pub use metrics::{heavy_hitters, score_sketch, SketchScore};
 pub use report::{decode_report, EpochReport, MergedView, REPORT_MAGIC};
-pub use sketch::{mix64, CountMin, KeyTable, LsbSketch, SketchCfg, SwitchSketch};
+pub use sketch::{mix64, KeyTable, LsbSketch, SketchCfg, SwitchSketch};

@@ -8,8 +8,9 @@
 pub struct SketchScore {
     /// Average relative error over all true flows: mean |est-true|/true.
     pub are: f64,
-    /// Flows where the sketch reported less than truth (0 for an intact
-    /// count-min; >0 means epochs were lost, e.g. a killed switch).
+    /// Flows where the sketch reported less than truth. An intact LSB
+    /// sketch never under-estimates, so this is 0 unless epochs were
+    /// lost (e.g. a killed switch).
     pub underestimates: u64,
     /// True heavy hitters (flows with >= theta * total true bytes).
     pub hh_truth: usize,
@@ -98,7 +99,7 @@ pub fn score_sketch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sketch::{CountMin, SketchCfg};
+    use crate::sketch::{LsbSketch, SketchCfg};
 
     #[test]
     fn perfect_estimator_scores_perfectly() {
@@ -127,17 +128,17 @@ mod tests {
             width: 1024,
             key_slots: 256,
         };
-        let mut cm = CountMin::new(&cfg);
+        let mut lsb = LsbSketch::new(&cfg);
         let truth: Vec<(u64, u64)> = (1..=200u64)
             .map(|k| (k.wrapping_mul(0x9E37_79B9_7F4A_7C15), 64 + (k % 7) * 64))
             .collect();
         let mut sorted = truth.clone();
         sorted.sort_unstable();
         for &(k, v) in &sorted {
-            cm.update(k, v);
+            lsb.update(k, v);
         }
         let cands: Vec<u64> = sorted.iter().map(|&(k, _)| k).collect();
-        let s = score_sketch(&sorted, |k| cm.estimate(k), &cands, cm.total(), 0.005);
+        let s = score_sketch(&sorted, |k| lsb.estimate(k), &cands, lsb.total(), 0.005);
         // 200 keys into 4x1024 cells: essentially collision-free.
         assert!(s.are < 0.05, "are {}", s.are);
         assert_eq!(s.underestimates, 0);

@@ -7,12 +7,18 @@
 //! stream.
 //!
 //! Layout (u64 little-endian words):
-//! `magic, switch<<32|epoch, frames, bytes, depth, width, share_shift,`
-//! `cm cells (depth*width), lsb cells (depth*width), nkeys, keys...`
+//! `magic, switch<<32|epoch, frames, bytes, depth, width,`
+//! `cells (depth*width), nkeys, keys...`
+//!
+//! The LSB sketch's row shift is derived from `width`, so it is not
+//! carried.
 
 use std::collections::BTreeSet;
 
-use crate::sketch::{CountMin, LsbSketch, SketchCfg, SwitchSketch};
+use crate::sketch::{windows_fit, LsbSketch, SketchCfg, SwitchSketch};
+
+/// Header words before the cell array.
+const HEADER_WORDS: usize = 6;
 
 /// First word of every telemetry report payload.
 pub const REPORT_MAGIC: u64 = 0x544C_4D52_5054_0001; // "TLMRPT" v1
@@ -40,10 +46,6 @@ impl SwitchSketch {
         push_u64(out, self.bytes);
         push_u64(out, self.cfg.depth as u64);
         push_u64(out, self.cfg.width as u64);
-        push_u64(out, self.lsb.share_shift() as u64);
-        for &c in self.cm.cells() {
-            push_u64(out, c);
-        }
         for &c in self.lsb.cells() {
             push_u64(out, c);
         }
@@ -64,13 +66,28 @@ pub struct EpochReport {
     pub bytes: u64,
     pub depth: usize,
     pub width: usize,
-    pub share_shift: u32,
-    pub cm_cells: Vec<u64>,
-    pub lsb_cells: Vec<u64>,
+    /// LSB sketch cells, row-major (`depth * width`).
+    pub cells: Vec<u64>,
     pub keys: Vec<u64>,
 }
 
-/// Decode a report payload; `None` on wrong magic or truncation.
+/// Read `n` consecutive words starting at word `from`, or `None` if the
+/// buffer is shorter. The length is checked before anything is
+/// allocated, so a forged count cannot trigger a huge allocation.
+fn read_words(buf: &[u8], from: usize, n: usize) -> Option<Vec<u64>> {
+    let start = from.checked_mul(8)?;
+    let end = from.checked_add(n)?.checked_mul(8)?;
+    let bytes = buf.get(start..end)?;
+    Some(
+        bytes
+            .chunks_exact(8)
+            .map(|b| u64::from_le_bytes(b.try_into().expect("8-byte chunk")))
+            .collect(),
+    )
+}
+
+/// Decode a report payload; `None` on wrong magic, an impossible shape
+/// or truncation.
 pub fn decode_report(buf: &[u8]) -> Option<EpochReport> {
     if read_u64(buf, 0)? != REPORT_MAGIC {
         return None;
@@ -78,31 +95,16 @@ pub fn decode_report(buf: &[u8]) -> Option<EpochReport> {
     let tag = read_u64(buf, 1)?;
     let frames = read_u64(buf, 2)?;
     let bytes = read_u64(buf, 3)?;
-    let depth = read_u64(buf, 4)? as usize;
-    let width = read_u64(buf, 5)? as usize;
-    let share_shift = read_u64(buf, 6)? as u32;
-    if depth == 0 || depth > 8 || !width.is_power_of_two() {
+    let depth = usize::try_from(read_u64(buf, 4)?).ok()?;
+    let width = usize::try_from(read_u64(buf, 5)?).ok()?;
+    if !windows_fit(depth, width) {
         return None;
     }
-    let cells = depth * width;
-    let mut w = 7usize;
-    let mut cm_cells = Vec::with_capacity(cells);
-    for _ in 0..cells {
-        cm_cells.push(read_u64(buf, w)?);
-        w += 1;
-    }
-    let mut lsb_cells = Vec::with_capacity(cells);
-    for _ in 0..cells {
-        lsb_cells.push(read_u64(buf, w)?);
-        w += 1;
-    }
-    let nkeys = read_u64(buf, w)? as usize;
-    w += 1;
-    let mut keys = Vec::with_capacity(nkeys);
-    for _ in 0..nkeys {
-        keys.push(read_u64(buf, w)?);
-        w += 1;
-    }
+    let n_cells = depth.checked_mul(width)?;
+    let cells = read_words(buf, HEADER_WORDS, n_cells)?;
+    let w = HEADER_WORDS + n_cells;
+    let nkeys = usize::try_from(read_u64(buf, w)?).ok()?;
+    let keys = read_words(buf, w + 1, nkeys)?;
     Some(EpochReport {
         switch: (tag >> 32) as u32,
         epoch: tag as u32,
@@ -110,18 +112,15 @@ pub fn decode_report(buf: &[u8]) -> Option<EpochReport> {
         bytes,
         depth,
         width,
-        share_shift,
-        cm_cells,
-        lsb_cells,
+        cells,
         keys,
     })
 }
 
-/// Collector-side accumulated state for one switch: cell-wise merged
-/// sketches across epochs plus the union of candidate keys (a
+/// Collector-side accumulated state for one switch: the cell-wise
+/// merged sketch across epochs plus the union of candidate keys (a
 /// `BTreeSet` so every iteration is deterministic and sorted).
 pub struct MergedView {
-    pub cm: CountMin,
     pub lsb: LsbSketch,
     pub keys: BTreeSet<u64>,
     pub frames: u64,
@@ -132,7 +131,6 @@ pub struct MergedView {
 impl MergedView {
     pub fn new(cfg: &SketchCfg) -> MergedView {
         MergedView {
-            cm: CountMin::new(cfg),
             lsb: LsbSketch::new(cfg),
             keys: BTreeSet::new(),
             frames: 0,
@@ -144,11 +142,10 @@ impl MergedView {
     /// Merge one epoch in. Returns `false` (report dropped) on a shape
     /// mismatch instead of corrupting the view.
     pub fn absorb(&mut self, rep: &EpochReport) -> bool {
-        if rep.depth != self.cm.depth() || rep.width != self.cm.width() {
+        if rep.depth != self.lsb.depth() || rep.width != self.lsb.width() {
             return false;
         }
-        self.cm.merge_cells(&rep.cm_cells, rep.bytes);
-        self.lsb.merge_cells(&rep.lsb_cells, rep.bytes);
+        self.lsb.merge_cells(&rep.cells, rep.bytes);
         self.keys.extend(rep.keys.iter().copied());
         self.frames += rep.frames;
         self.bytes += rep.bytes;
@@ -176,17 +173,34 @@ mod tests {
             s.update(k * 0x1234_5678_9abc, 64 * k);
         }
         let (frames, bytes) = (s.frames, s.bytes);
-        let cm_before = s.cm.cells().to_vec();
+        let cells_before = s.lsb.cells().to_vec();
         let mut buf = Vec::new();
         s.encode_sweep(3, 17, &mut buf);
         // sweep resets the live sketch
         assert_eq!(s.frames, 0);
-        assert!(s.cm.cells().iter().all(|&c| c == 0));
+        assert!(s.lsb.cells().iter().all(|&c| c == 0));
         let rep = decode_report(&buf).expect("decodes");
         assert_eq!((rep.switch, rep.epoch), (3, 17));
         assert_eq!((rep.frames, rep.bytes), (frames, bytes));
-        assert_eq!(rep.cm_cells, cm_before);
+        assert_eq!(rep.cells, cells_before);
         assert!(!rep.keys.is_empty());
+    }
+
+    #[test]
+    fn report_length_is_header_cells_and_keys() {
+        let c = cfg();
+        let mut s = SwitchSketch::new(c);
+        for k in 1..=5u64 {
+            s.update(k * 0x1234_5678_9abc, 64);
+        }
+        let mut buf = Vec::new();
+        s.encode_sweep(0, 0, &mut buf);
+        let nkeys = decode_report(&buf).expect("decodes").keys.len();
+        assert!(nkeys > 0);
+        // header, one depth*width cell array, the key count, the keys
+        let words = HEADER_WORDS + c.depth * c.width + 1 + nkeys;
+        assert_eq!(HEADER_WORDS, 6);
+        assert_eq!(buf.len(), words * 8);
     }
 
     #[test]
@@ -199,6 +213,17 @@ mod tests {
         s.encode_sweep(0, 0, &mut buf);
         buf.truncate(buf.len() - 3);
         assert!(decode_report(&buf).is_none());
+        // a valid header claiming 2^40 cells per row must be rejected
+        // by length, not by attempting the allocation
+        let mut huge = Vec::new();
+        for w in [REPORT_MAGIC, 0, 1, 64, 1, 1 << 40, 0] {
+            huge.extend_from_slice(&u64::to_le_bytes(w));
+        }
+        assert_eq!(huge.len(), 56);
+        assert!(decode_report(&huge).is_none());
+        // a depth word of u64::MAX fails the window rule without overflow
+        huge[32..40].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(decode_report(&huge).is_none());
     }
 
     #[test]
@@ -218,7 +243,6 @@ mod tests {
             let rep = decode_report(&buf).unwrap();
             assert!(view.absorb(&rep));
         }
-        assert_eq!(view.cm.cells(), whole.cm.cells());
         assert_eq!(view.lsb.cells(), whole.lsb.cells());
         assert_eq!(view.frames, whole.frames);
         assert_eq!(view.epochs, 3);

@@ -1,6 +1,6 @@
-//! The sketches themselves: count-min, the LSB-sharing variant, and the
-//! direct-mapped candidate-key table that makes heavy-hitter *identity*
-//! recoverable (a sketch alone only answers point queries).
+//! The LSB-sharing sketch and the direct-mapped candidate-key table
+//! that makes heavy-hitter *identity* recoverable (a sketch alone only
+//! answers point queries).
 
 /// splitmix64 finalizer: the one extra mix the fast path is allowed on
 /// top of the already-computed `ecmp_basis`. One multiply-shift chain,
@@ -12,24 +12,29 @@ pub fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 33)
 }
 
-/// Per-row odd multipliers for count-min's multiply-shift indexing.
-/// Eight rows is far more depth than any configuration here uses.
-const ROW_ODD: [u64; 8] = [
-    0x9E37_79B9_7F4A_7C15,
-    0xC2B2_AE3D_27D4_EB4F,
-    0x1656_67B1_9E37_79F9,
-    0x27D4_EB2F_1656_67C5,
-    0x85EB_CA77_C2B2_AE63,
-    0xA24B_AED4_963E_E407,
-    0x9FB2_1C65_1E98_DF25,
-    0xCC9E_2D51_0B5E_1B87,
-];
+/// Bits each successive LSB row shifts the shared hash by: half the
+/// row-index width, so adjacent rows share their low bits.
+fn share_shift(log_w: u32) -> u32 {
+    (log_w / 2).max(1)
+}
+
+/// The LSB window rule: `depth` rows of `width` (a power of two >= 2)
+/// cells fit when the last row's bit window ends within the single
+/// 64-bit hash. This is the only depth bound the sketch has.
+pub(crate) fn windows_fit(depth: usize, width: usize) -> bool {
+    if depth == 0 || width < 2 || !width.is_power_of_two() {
+        return false;
+    }
+    // (depth - 1) * shift + log_w <= 64, without overflow for any depth
+    let log_w = width.trailing_zeros();
+    depth - 1 <= ((64 - log_w) / share_shift(log_w)) as usize
+}
 
 /// Shape shared by every sketch instance in one scenario. `width` and
 /// `key_slots` must be powers of two (indexing is mask/shift only).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SketchCfg {
-    /// Rows per sketch (hash functions).
+    /// Rows per sketch (bit windows of the shared hash).
     pub depth: usize,
     /// Counters per row; power of two.
     pub width: usize,
@@ -40,14 +45,14 @@ pub struct SketchCfg {
 impl SketchCfg {
     pub fn validate(&self) {
         assert!(
-            self.depth >= 1 && self.depth <= ROW_ODD.len(),
-            "sketch depth {} out of range 1..={}",
-            self.depth,
-            ROW_ODD.len()
-        );
-        assert!(
             self.width.is_power_of_two() && self.width >= 2,
             "sketch width {} must be a power of two >= 2",
+            self.width
+        );
+        assert!(
+            windows_fit(self.depth, self.width),
+            "sketch depth {} out of range: LSB windows exceed 64 bits at width {}",
+            self.depth,
             self.width
         );
         assert!(
@@ -68,86 +73,16 @@ impl Default for SketchCfg {
     }
 }
 
-/// Count-min sketch. Each row indexes the raw key through a private odd
-/// multiplier and a shift (multiply-shift hashing): one multiply per
-/// row, no rehash of key material.
-pub struct CountMin {
-    depth: usize,
-    width: usize,
-    shift: u32,
-    cells: Vec<u64>,
-    total: u64,
-}
-
-impl CountMin {
-    pub fn new(cfg: &SketchCfg) -> CountMin {
-        cfg.validate();
-        CountMin {
-            depth: cfg.depth,
-            width: cfg.width,
-            shift: 64 - cfg.width.trailing_zeros(),
-            cells: vec![0; cfg.depth * cfg.width],
-            total: 0,
-        }
-    }
-
-    #[inline]
-    pub fn update(&mut self, key: u64, v: u64) {
-        let mut base = 0usize;
-        for &odd in ROW_ODD.iter().take(self.depth) {
-            let idx = (key.wrapping_mul(odd) >> self.shift) as usize;
-            self.cells[base + idx] += v;
-            base += self.width;
-        }
-        self.total += v;
-    }
-
-    /// Point query: min over rows. Never under-estimates the true count.
-    pub fn estimate(&self, key: u64) -> u64 {
-        let mut est = u64::MAX;
-        let mut base = 0usize;
-        for &odd in ROW_ODD.iter().take(self.depth) {
-            let idx = (key.wrapping_mul(odd) >> self.shift) as usize;
-            est = est.min(self.cells[base + idx]);
-            base += self.width;
-        }
-        est
-    }
-
-    /// Cell-wise merge; `merge(A, B)` is exactly `sketch(stream A ++ stream B)`.
-    pub fn merge_cells(&mut self, cells: &[u64], total: u64) {
-        assert_eq!(cells.len(), self.cells.len(), "count-min shape mismatch");
-        for (c, &o) in self.cells.iter_mut().zip(cells) {
-            *c += o;
-        }
-        self.total += total;
-    }
-
-    pub fn reset(&mut self) {
-        self.cells.iter_mut().for_each(|c| *c = 0);
-        self.total = 0;
-    }
-
-    pub fn cells(&self) -> &[u64] {
-        &self.cells
-    }
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-    pub fn width(&self) -> usize {
-        self.width
-    }
-}
-
 /// LSB-sharing sketch (arXiv:2503.11777 style, with the
 /// locality-sensitive framing of arXiv:1905.03113): one `mix64` of the
 /// key, then each row reads an overlapping bit window of that single
 /// hash — adjacent rows share their low `log2(width)/2` bits. Update
 /// cost is one mix regardless of depth; rows are correlated, which is
 /// the resilience/accuracy trade the papers study.
+///
+/// Like count-min, a point query is the minimum over rows, and every
+/// row cell a key touches holds at least that key's total: an intact
+/// sketch never under-estimates.
 pub struct LsbSketch {
     depth: usize,
     width: usize,
@@ -161,19 +96,11 @@ pub struct LsbSketch {
 impl LsbSketch {
     pub fn new(cfg: &SketchCfg) -> LsbSketch {
         cfg.validate();
-        let log_w = cfg.width.trailing_zeros();
-        let share_shift = (log_w / 2).max(1);
-        assert!(
-            (cfg.depth as u32 - 1) * share_shift + log_w <= 64,
-            "LSB windows exceed 64 bits (depth {} width {})",
-            cfg.depth,
-            cfg.width
-        );
         LsbSketch {
             depth: cfg.depth,
             width: cfg.width,
             mask: (cfg.width - 1) as u64,
-            share_shift,
+            share_shift: share_shift(cfg.width.trailing_zeros()),
             cells: vec![0; cfg.depth * cfg.width],
             total: 0,
         }
@@ -197,6 +124,7 @@ impl LsbSketch {
         self.update_hashed(mix64(key), v);
     }
 
+    /// Point query: min over rows. Never under-estimates the true count.
     pub fn estimate(&self, key: u64) -> u64 {
         let mut est = u64::MAX;
         let mut base = 0usize;
@@ -209,6 +137,7 @@ impl LsbSketch {
         est
     }
 
+    /// Cell-wise merge; `merge(A, B)` is exactly `sketch(stream A ++ stream B)`.
     pub fn merge_cells(&mut self, cells: &[u64], total: u64) {
         assert_eq!(cells.len(), self.cells.len(), "lsb sketch shape mismatch");
         for (c, &o) in self.cells.iter_mut().zip(cells) {
@@ -228,8 +157,11 @@ impl LsbSketch {
     pub fn total(&self) -> u64 {
         self.total
     }
-    pub fn share_shift(&self) -> u32 {
-        self.share_shift
+    pub fn depth(&self) -> usize {
+        self.depth
+    }
+    pub fn width(&self) -> usize {
+        self.width
     }
 }
 
@@ -270,11 +202,10 @@ impl KeyTable {
     }
 }
 
-/// Everything one switch carries for telemetry: both sketches, the
+/// Everything one switch carries for telemetry: the sketch, the
 /// candidate table, and exact frame/byte totals for the epoch.
 pub struct SwitchSketch {
     pub cfg: SketchCfg,
-    pub cm: CountMin,
     pub lsb: LsbSketch,
     pub keys: KeyTable,
     pub frames: u64,
@@ -285,7 +216,6 @@ impl SwitchSketch {
     pub fn new(cfg: SketchCfg) -> SwitchSketch {
         SwitchSketch {
             cfg,
-            cm: CountMin::new(&cfg),
             lsb: LsbSketch::new(&cfg),
             keys: KeyTable::new(&cfg),
             frames: 0,
@@ -294,12 +224,12 @@ impl SwitchSketch {
     }
 
     /// THE fast-path hook. `basis` is the frame's precomputed
-    /// `FrameMeta::flow_basis`; `len` the wire length. One `mix64`, a
-    /// handful of multiply-shift adds — no parse, no alloc, no rehash.
+    /// `FrameMeta::flow_basis`; `len` the wire length. One `mix64`
+    /// shared by every row and the key table — no parse, no alloc, no
+    /// rehash.
     #[inline]
     pub fn update(&mut self, basis: u64, len: u64) {
         let h = mix64(basis);
-        self.cm.update(basis, len);
         self.lsb.update_hashed(h, len);
         self.keys.insert_hashed(basis, h);
         self.frames += 1;
@@ -307,7 +237,6 @@ impl SwitchSketch {
     }
 
     pub fn reset(&mut self) {
-        self.cm.reset();
         self.lsb.reset();
         self.keys.reset();
         self.frames = 0;
@@ -341,13 +270,11 @@ mod tests {
     #[test]
     fn never_underestimates() {
         let mut rng = Lcg(42);
-        let mut cm = CountMin::new(&tiny());
         let mut lsb = LsbSketch::new(&tiny());
         let keys: Vec<(u64, u64)> = (0..500)
             .map(|_| (rng.next(), 1 + rng.next() % 900))
             .collect();
         for &(k, v) in &keys {
-            cm.update(k, v);
             lsb.update(k, v);
         }
         let mut truth = std::collections::BTreeMap::new();
@@ -355,30 +282,29 @@ mod tests {
             *truth.entry(k).or_insert(0u64) += v;
         }
         for (&k, &t) in &truth {
-            assert!(cm.estimate(k) >= t, "count-min under-estimated");
             assert!(lsb.estimate(k) >= t, "lsb sketch under-estimated");
         }
     }
 
     #[test]
     fn respects_eps_n_bound() {
-        // Classic count-min guarantee: overshoot <= e/width * N with
-        // prob 1 - exp(-depth) per key. With a fixed seed we assert the
-        // bound with a small slack on every key rather than in
-        // expectation.
+        // The count-min style guarantee, held by the LSB sketch too:
+        // overshoot <= e/width * N with prob 1 - exp(-depth) per key.
+        // With a fixed seed we assert the bound with a small slack on
+        // every key rather than in expectation.
         let cfg = tiny();
         let mut rng = Lcg(7);
-        let mut cm = CountMin::new(&cfg);
+        let mut lsb = LsbSketch::new(&cfg);
         let mut truth = std::collections::BTreeMap::new();
         for _ in 0..2000 {
             let (k, v) = (rng.next(), 1 + rng.next() % 50);
-            cm.update(k, v);
+            lsb.update(k, v);
             *truth.entry(k).or_insert(0u64) += v;
         }
-        let n = cm.total();
+        let n = lsb.total();
         let bound = (3.0 * std::f64::consts::E * n as f64 / cfg.width as f64) as u64;
         for (&k, &t) in &truth {
-            let over = cm.estimate(k) - t;
+            let over = lsb.estimate(k) - t;
             assert!(
                 over <= bound,
                 "overshoot {over} exceeds 3eN/w = {bound} (N={n})"
@@ -396,30 +322,32 @@ mod tests {
         let b: Vec<(u64, u64)> = (0..300)
             .map(|_| (rng.next() % 512, 1 + rng.next() % 9))
             .collect();
-        let mut cm_a = CountMin::new(&cfg);
-        let mut cm_b = CountMin::new(&cfg);
-        let mut cm_u = CountMin::new(&cfg);
         let mut ls_a = LsbSketch::new(&cfg);
         let mut ls_b = LsbSketch::new(&cfg);
         let mut ls_u = LsbSketch::new(&cfg);
         for &(k, v) in &a {
-            cm_a.update(k, v);
             ls_a.update(k, v);
-            cm_u.update(k, v);
             ls_u.update(k, v);
         }
         for &(k, v) in &b {
-            cm_b.update(k, v);
             ls_b.update(k, v);
-            cm_u.update(k, v);
             ls_u.update(k, v);
         }
-        cm_a.merge_cells(cm_b.cells(), cm_b.total());
         ls_a.merge_cells(ls_b.cells(), ls_b.total());
-        assert_eq!(cm_a.cells(), cm_u.cells(), "count-min merge != union");
-        assert_eq!(cm_a.total(), cm_u.total());
         assert_eq!(ls_a.cells(), ls_u.cells(), "lsb merge != union");
         assert_eq!(ls_a.total(), ls_u.total());
+    }
+
+    #[test]
+    fn depth_bound_is_the_lsb_window_rule() {
+        // width 4096: 12-bit windows shifted by 6, so 9 rows end at bit 60
+        assert!(windows_fit(9, 4096));
+        assert!(!windows_fit(10, 4096));
+        assert!(!windows_fit(0, 4096));
+        assert!(!windows_fit(1, 3));
+        assert!(windows_fit(1, 1 << 40));
+        assert!(!windows_fit(usize::MAX, 2));
+        assert!(!windows_fit(usize::MAX, 4));
     }
 
     #[test]
@@ -443,10 +371,9 @@ mod tests {
         s.update(0xdead_beef, 50);
         assert_eq!(s.frames, 2);
         assert_eq!(s.bytes, 150);
-        assert!(s.cm.estimate(0xdead_beef) >= 150);
         assert!(s.lsb.estimate(0xdead_beef) >= 150);
         s.reset();
         assert_eq!(s.frames, 0);
-        assert_eq!(s.cm.estimate(0xdead_beef), 0);
+        assert_eq!(s.lsb.estimate(0xdead_beef), 0);
     }
 }

@@ -96,8 +96,8 @@ pub struct PairOpts {
     /// Fold installed for new flows (native builtin or compiled eBPF).
     pub fold: FoldSpec,
     /// Consecutive no-progress RTOs before the control plane aborts a
-    /// flow (`None` = retry forever; see `CtrlConfig::rto_give_up`).
-    pub rto_give_up: Option<u32>,
+    /// flow (see `CtrlConfig::rto_give_up`).
+    pub rto_give_up: u32,
     /// RTO floor (`RTO = max(min_rto, 4 × sRTT)`). The chaos experiments
     /// shrink this so give-up fits inside a millisecond-scale fault window.
     pub min_rto: Duration,

@@ -128,7 +128,7 @@ fn random_scenario(trial: u64) -> (Scenario, u64) {
     let mut sc = Scenario::idle(seed, fabric, Stack::FlexToe);
     sc.opts.min_rto = Duration::from_us(200);
     sc.opts.syn_retry = Duration::from_us(400);
-    sc.opts.rto_give_up = Some(3);
+    sc.opts.rto_give_up = 3;
     // one in four trials also caps the work pool: exhaustion shedding
     // must compose with whatever faults the schedule draws
     if meta.below(4) == 0 {

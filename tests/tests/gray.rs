@@ -29,7 +29,7 @@ fn session_fabric(seed: u64, req_size: u32, schedule: Vec<FaultEvent>) -> Scenar
     let mut sc = Scenario::idle(seed, fabric, Stack::FlexToe);
     sc.opts.min_rto = Duration::from_us(200);
     sc.opts.syn_retry = Duration::from_us(400);
-    sc.opts.rto_give_up = Some(3);
+    sc.opts.rto_give_up = 3;
     for i in 0..sc.hosts.len() {
         sc.hosts[i].role = if i % 2 == 0 {
             let leaf = i / 2;

@@ -18,7 +18,7 @@
 use flextoe_bench::faults::{run_faults_point, FaultsOutcome, FaultsPlan};
 use flextoe_bench::scale::{run_scale_point, ScaleOutcome};
 use flextoe_shard::{Partition, ShardedSim};
-use flextoe_sim::{cast, Ctx, Duration, Msg, Node, Sim, Time};
+use flextoe_sim::{Ctx, Duration, Msg, Node, Sim, Time};
 use flextoe_topo::Stack;
 use flextoe_wire::Frame;
 
@@ -70,7 +70,7 @@ impl Node for Chatter {
     fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
         let frame = match msg {
             Msg::Frame(f) => f,
-            other => *cast::<Frame>(other),
+            other => panic!("chatter: unexpected {}", other.variant_name()),
         };
         let draw = ctx.rng.next_u32();
         self.log.push((ctx.now().ps(), frame.bytes[0], draw));

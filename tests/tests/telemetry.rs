@@ -1,6 +1,6 @@
 //! The telemetry plane end to end: fast-path sketches feeding the
 //! collector over real report frames, exactness of the merged views
-//! against per-switch ground truth, the count-min no-underestimate
+//! against per-switch ground truth, the sketch's no-underestimate
 //! guarantee surviving the sweep/merge pipeline, sketch loss under a
 //! switch kill (while truth survives — the differential measurement),
 //! default-off wiring, and byte-identity of the `telemetry` sweep
@@ -49,8 +49,8 @@ fn flow_frame(f: u32) -> (Vec<u8>, flextoe_wire::FrameMeta) {
 }
 
 /// Sweep reports merge into views that match per-switch exact truth:
-/// byte totals are equal, every truth key was captured, and neither
-/// sketch ever under-estimates a flow (count-min's guarantee must
+/// byte totals are equal, every truth key was captured, and the sketch
+/// never under-estimates a flow (the min-over-rows guarantee must
 /// survive encode → report frame → decode → epoch merge).
 #[test]
 fn collector_merges_exact_fabric_truth() {
@@ -83,10 +83,6 @@ fn collector_merges_exact_fabric_truth() {
         assert_eq!(v.bytes, truth_bytes, "switch {i}: swept bytes != truth");
         for (&k, &exact) in truth {
             assert!(v.keys.contains(&k), "switch {i}: key table lost a flow");
-            assert!(
-                v.cm.estimate(k) >= exact,
-                "switch {i}: count-min under-estimated"
-            );
             assert!(
                 v.lsb.estimate(k) >= exact,
                 "switch {i}: lsb sketch under-estimated"
@@ -184,7 +180,7 @@ fn telemetry_is_default_off() {
 }
 
 /// The telemetry sweep's acceptance contract: smoke accuracy rows are
-/// complete (every observed byte swept) with zero count-min
+/// complete (every observed byte swept) with zero sketch
 /// under-estimates, report frames obey buffer conservation, and
 /// `BENCH_telemetry.json` is byte-identical across `--jobs` values.
 #[test]
@@ -195,7 +191,7 @@ fn telemetry_sweep_is_complete_and_byte_identical() {
     for r in &a {
         if r.json.contains("\"kind\": \"accuracy\"") {
             assert!(r.json.contains("\"complete\": true"), "{}", r.json);
-            assert!(r.json.contains("\"cm_underestimates\": 0"), "{}", r.json);
+            assert!(r.json.contains("\"lsb_underestimates\": 0"), "{}", r.json);
         }
         if r.json.contains("\"conserved\"") {
             assert!(r.json.contains("\"conserved\": true"), "{}", r.json);
